@@ -1,30 +1,26 @@
-//! Asynchronous execution of the Inference Tuning Server.
+//! The Inference Tuning Server's request path.
 //!
 //! Algorithm 1 calls the inference server with `async` semantics: the
 //! Model Tuning Server fires a request when a trial *starts* and collects
 //! the answer when the trial *ends*, so inference tuning is pipelined with
 //! training and "does not add any overhead to the main process" (§3.3).
-//! This module provides that middleware plumbing: a dedicated worker
-//! thread owning the [`InferenceTuningServer`] and the
-//! [`HistoricalCache`], fed through crossbeam channels.
+//! That overlap lives on the simulated clock: the evaluator charges a
+//! trial only the sweep's excess over its training run. The request
+//! itself is answered inline on the caller's thread — the evaluator
+//! submits one request and needs its reply before the next, so a
+//! background thread would only add hand-offs.
 //!
-//! Under a sharded study (`study_shards > 1`) this server is the one
-//! cross-shard channel: every engine shard measures its rung slice in
-//! isolation, but all of them submit their inference requests here, so
-//! Algorithm 1's memoisation — one sweep per architecture, ever —
-//! survives sharding intact.
+//! Engine shards never submit requests here: they measure phase A only,
+//! and every request is issued by the sequential phase B, so Algorithm
+//! 1's memoisation — one sweep per architecture, ever — holds for any
+//! shard count.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use edgetune_device::profile::WorkProfile;
 use edgetune_faults::FaultInjector;
 use edgetune_util::units::{Joules, Seconds};
 use edgetune_util::{Error, Result};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{CacheKey, HistoricalCache};
@@ -43,65 +39,18 @@ pub struct InferenceReply {
     pub cache_hit: bool,
 }
 
-struct Request {
-    key: CacheKey,
-    profile: WorkProfile,
-    reply: Sender<InferenceReply>,
-    /// Submission sequence number — the stable index fault decisions are
-    /// keyed by, so injected chaos is independent of worker scheduling.
-    seq: u64,
-}
-
-/// Shared per-server fault counters (observability for chaos runs).
+/// Per-server fault counters (observability for chaos runs).
 #[derive(Debug, Default)]
 struct FaultCounters {
-    /// Real panics caught (and survived) by the worker supervision loop.
-    panics: AtomicU64,
+    /// Real panics caught (and survived) while handling a request.
+    panics: u64,
     /// Requests dropped by injected worker deaths.
-    injected_losses: AtomicU64,
+    injected_losses: u64,
     /// Sweeps delayed by injected transient device outages.
-    injected_outages: AtomicU64,
+    injected_outages: u64,
 }
 
-/// A handle to an in-flight inference-tuning request.
-#[derive(Debug)]
-pub struct PendingReply {
-    rx: Receiver<InferenceReply>,
-}
-
-impl PendingReply {
-    /// Blocks until the reply arrives.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Channel`] if the server shut down before
-    /// answering.
-    pub fn wait(&self) -> Result<InferenceReply> {
-        self.rx
-            .recv()
-            .map_err(|_| Error::channel("inference server disconnected"))
-    }
-
-    /// Waits up to `timeout` for the reply.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Channel`] on timeout or disconnect.
-    pub fn wait_timeout(&self, timeout: Duration) -> Result<InferenceReply> {
-        self.rx
-            .recv_timeout(timeout)
-            .map_err(|e| Error::channel(format!("inference reply: {e}")))
-    }
-
-    /// Non-blocking poll.
-    #[must_use]
-    pub fn try_wait(&self) -> Option<InferenceReply> {
-        self.rx.try_recv().ok()
-    }
-}
-
-/// The asynchronous Inference Tuning Server: a background worker thread
-/// plus the shared historical cache.
+/// The Inference Tuning Server plus the historical cache it consults.
 ///
 /// # Examples
 ///
@@ -116,157 +65,110 @@ impl PendingReply {
 /// let device = DeviceSpec::raspberry_pi_3b();
 /// let space = InferenceSpace::for_device(&device);
 /// let inner = InferenceTuningServer::new(device, space, InferenceObjective::new(Metric::Runtime))?;
-/// let server = AsyncInferenceServer::start(inner, HistoricalCache::new());
+/// let mut server = AsyncInferenceServer::start(inner, HistoricalCache::new());
 /// let key = CacheKey::new("Raspberry Pi 3B+", "ResNet/layers=18", Metric::Runtime);
-/// let pending = server.submit(key, WorkProfile::new(0.56e9, 3.0e6, 44.8e6));
-/// let reply = pending.wait()?;
+/// let reply = server.submit(key, WorkProfile::new(0.56e9, 3.0e6, 44.8e6))?;
 /// assert!(!reply.cache_hit);
 /// # Ok::<(), edgetune_util::Error>(())
 /// ```
 #[derive(Debug)]
 pub struct AsyncInferenceServer {
-    tx: Option<Sender<Request>>,
-    workers: Vec<JoinHandle<()>>,
-    cache: Arc<Mutex<HistoricalCache>>,
-    counters: Arc<FaultCounters>,
-    next_seq: AtomicU64,
+    server: InferenceTuningServer,
+    cache: HistoricalCache,
+    caching: bool,
+    faults: Option<FaultInjector>,
+    counters: FaultCounters,
+    next_seq: u64,
 }
 
 impl AsyncInferenceServer {
-    /// Spawns a single-worker server with the historical cache enabled —
-    /// the paper's configuration.
+    /// A server with the historical cache enabled — the paper's
+    /// configuration.
     #[must_use]
     pub fn start(server: InferenceTuningServer, cache: HistoricalCache) -> Self {
-        Self::start_with_options(server, cache, 1, true)
+        Self::start_with_options(server, cache, true)
     }
 
-    /// Spawns the server with explicit options: `workers` concurrent
-    /// sweep threads (useful when the model server parallelises its
-    /// trials) and whether the historical cache is consulted (`caching =
-    /// false` is the ablation of §3.4's look-up feature).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
+    /// A server that consults the historical cache only when `caching`
+    /// is set (`caching = false` is the ablation of §3.4's look-up
+    /// feature).
     #[must_use]
     pub fn start_with_options(
         server: InferenceTuningServer,
         cache: HistoricalCache,
-        workers: usize,
         caching: bool,
     ) -> Self {
-        Self::start_supervised(server, cache, workers, caching, None, 0)
+        Self::start_supervised(server, cache, caching, None, 0)
     }
 
-    /// Spawns the server with a fault injector and the request-sequence
-    /// cursor to resume from (chaos runs; checkpoint/resume). With
-    /// `faults: None` and `first_seq: 0` this is exactly
+    /// A server with a fault injector and the request-sequence cursor to
+    /// resume from (chaos runs; checkpoint/resume). With `faults: None`
+    /// and `first_seq: 0` this is exactly
     /// [`AsyncInferenceServer::start_with_options`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
     #[must_use]
     pub fn start_supervised(
         server: InferenceTuningServer,
         cache: HistoricalCache,
-        workers: usize,
         caching: bool,
         faults: Option<FaultInjector>,
         first_seq: u64,
     ) -> Self {
-        assert!(workers >= 1, "need at least one worker");
-        let cache = Arc::new(Mutex::new(cache));
-        let counters = Arc::new(FaultCounters::default());
-        let (tx, rx) = unbounded::<Request>();
-        let server = Arc::new(server);
-        let handles = (0..workers)
-            .map(|i| {
-                let rx = rx.clone();
-                let worker_cache = Arc::clone(&cache);
-                let server = Arc::clone(&server);
-                let counters = Arc::clone(&counters);
-                let faults = faults.clone();
-                std::thread::Builder::new()
-                    .name(format!("inference-tuning-server-{i}"))
-                    .spawn(move || {
-                        Self::worker_loop(
-                            &rx,
-                            &server,
-                            &worker_cache,
-                            caching,
-                            faults.as_ref(),
-                            &counters,
-                        );
-                    })
-                    .expect("spawning inference server thread")
-            })
-            .collect();
         AsyncInferenceServer {
-            tx: Some(tx),
-            workers: handles,
+            server,
             cache,
-            counters,
-            next_seq: AtomicU64::new(first_seq),
+            caching,
+            faults,
+            counters: FaultCounters::default(),
+            next_seq: first_seq,
         }
     }
 
-    /// The supervised worker body: a real panic in request handling is
-    /// caught and counted instead of killing the thread, so the worker
-    /// slot effectively respawns for the next request (the requester of
-    /// the poisoned request sees a dropped reply channel and degrades).
-    fn worker_loop(
-        rx: &Receiver<Request>,
-        server: &InferenceTuningServer,
-        cache: &Mutex<HistoricalCache>,
-        caching: bool,
-        faults: Option<&FaultInjector>,
-        counters: &FaultCounters,
-    ) {
-        loop {
-            let Ok(request) = rx.recv() else {
-                break; // channel closed: orderly shutdown
-            };
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if let Some(injector) = faults {
-                    if injector.worker_panic(request.seq) {
-                        // Simulated worker death mid-request: the request
-                        // (and its reply sender) is dropped without an
-                        // answer, exactly what the requester of a panicked
-                        // worker observes — minus the stderr backtrace.
-                        counters.injected_losses.fetch_add(1, Ordering::Relaxed);
-                        return;
-                    }
-                }
-                let mut reply = Self::handle(server, cache, &request, caching);
-                if let Some(injector) = faults {
-                    if !reply.cache_hit {
-                        if let Some(outage) = injector.device_outage(request.seq) {
-                            // Transient device unavailability: the sweep
-                            // is retried once the device returns, so its
-                            // effective runtime stretches by the outage.
-                            reply.runtime += outage;
-                            counters.injected_outages.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-                // The requester may have gone away; that is fine.
-                let _ = request.reply.send(reply);
-            }));
-            if outcome.is_err() {
-                counters.panics.fetch_add(1, Ordering::Relaxed);
+    /// Tunes `profile`'s deployment (or serves it from the historical
+    /// cache) and returns the reply.
+    ///
+    /// Fault decisions are keyed by the request's sequence number, so
+    /// injected chaos depends only on submission order. A real panic in
+    /// request handling is caught and counted instead of unwinding into
+    /// the caller, who sees the reply as lost and degrades.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Channel`] when the reply is lost: an injected
+    /// worker death, or a caught panic.
+    pub fn submit(&mut self, key: CacheKey, profile: WorkProfile) -> Result<InferenceReply> {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        if let Some(injector) = &self.faults {
+            if injector.worker_panic(seq) {
+                // Simulated worker death mid-request: the request is
+                // dropped without an answer, exactly what the requester
+                // of a panicked worker observes — minus the backtrace.
+                self.counters.injected_losses += 1;
+                return Err(Error::channel("inference reply lost"));
             }
         }
+        let handled = catch_unwind(AssertUnwindSafe(|| self.handle(&key, &profile)));
+        let Ok(mut reply) = handled else {
+            self.counters.panics += 1;
+            return Err(Error::channel("inference request panicked"));
+        };
+        if let Some(injector) = &self.faults {
+            if !reply.cache_hit {
+                if let Some(outage) = injector.device_outage(seq) {
+                    // Transient device unavailability: the sweep is
+                    // retried once the device returns, so its effective
+                    // runtime stretches by the outage.
+                    reply.runtime += outage;
+                    self.counters.injected_outages += 1;
+                }
+            }
+        }
+        Ok(reply)
     }
 
-    fn handle(
-        server: &InferenceTuningServer,
-        cache: &Mutex<HistoricalCache>,
-        request: &Request,
-        caching: bool,
-    ) -> InferenceReply {
-        if caching {
-            if let Some(hit) = cache.lock().lookup(&request.key) {
+    fn handle(&mut self, key: &CacheKey, profile: &WorkProfile) -> InferenceReply {
+        if self.caching {
+            if let Some(hit) = self.cache.lookup(key) {
                 return InferenceReply {
                     recommendation: hit,
                     runtime: Seconds::ZERO,
@@ -275,11 +177,11 @@ impl AsyncInferenceServer {
                 };
             }
         } else {
-            cache.lock().note_miss();
+            self.cache.note_miss();
         }
-        let (recommendation, cost) = server.tune(&request.profile);
-        if caching {
-            cache.lock().store(&request.key, recommendation.clone());
+        let (recommendation, cost) = self.server.tune(profile);
+        if self.caching {
+            self.cache.store(key, recommendation.clone());
         }
         InferenceReply {
             recommendation,
@@ -289,43 +191,10 @@ impl AsyncInferenceServer {
         }
     }
 
-    /// Submits an architecture for inference tuning; returns immediately.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after [`AsyncInferenceServer::shutdown`] (the
-    /// handle is consumed there, so this cannot happen in safe use).
-    #[must_use]
-    pub fn submit(&self, key: CacheKey, profile: WorkProfile) -> PendingReply {
-        self.try_submit(key, profile)
-            .expect("worker thread alive while handle exists")
-    }
-
-    /// Like [`AsyncInferenceServer::submit`], but returns `None` instead
-    /// of panicking if every worker is gone — the degradation ladder's
-    /// retry rung uses this so a resubmission can never crash the Model
-    /// Tuning Server.
-    #[must_use]
-    pub fn try_submit(&self, key: CacheKey, profile: WorkProfile) -> Option<PendingReply> {
-        let (reply_tx, reply_rx) = unbounded();
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        self.tx
-            .as_ref()
-            .expect("server is running")
-            .send(Request {
-                key,
-                profile,
-                reply: reply_tx,
-                seq,
-            })
-            .ok()?;
-        Some(PendingReply { rx: reply_rx })
-    }
-
     /// A snapshot of the historical cache.
     #[must_use]
     pub fn cache_snapshot(&self) -> HistoricalCache {
-        self.cache.lock().clone()
+        self.cache.clone()
     }
 
     /// The cache's current hit/miss counters, read without cloning the
@@ -333,64 +202,45 @@ impl AsyncInferenceServer {
     /// and checkpoint manifests read, so the numbers can never diverge.
     #[must_use]
     pub fn cache_stats(&self) -> crate::cache::CacheStats {
-        self.cache.lock().stats()
+        self.cache.stats()
     }
 
     /// Reads a cache entry without touching statistics — the stale-cache
     /// rung of the degradation ladder.
     #[must_use]
     pub fn peek(&self, key: &CacheKey) -> Option<InferenceRecommendation> {
-        self.cache.lock().peek(key).cloned()
+        self.cache.peek(key).cloned()
     }
 
     /// Requests submitted so far — the inference-side fault cursor a
     /// study checkpoint stores.
     #[must_use]
     pub fn submitted(&self) -> u64 {
-        self.next_seq.load(Ordering::Relaxed)
+        self.next_seq
     }
 
-    /// Real worker panics caught by the supervision loop.
+    /// Real panics caught while handling requests.
     #[must_use]
     pub fn worker_panics(&self) -> u64 {
-        self.counters.panics.load(Ordering::Relaxed)
+        self.counters.panics
     }
 
     /// Requests dropped by injected worker deaths.
     #[must_use]
     pub fn injected_losses(&self) -> u64 {
-        self.counters.injected_losses.load(Ordering::Relaxed)
+        self.counters.injected_losses
     }
 
     /// Sweeps delayed by injected device outages.
     #[must_use]
     pub fn injected_outages(&self) -> u64 {
-        self.counters.injected_outages.load(Ordering::Relaxed)
+        self.counters.injected_outages
     }
 
-    /// Stops the workers (draining queued requests first) and returns
-    /// the final cache.
+    /// Consumes the server, returning the final cache.
     #[must_use]
-    pub fn shutdown(mut self) -> HistoricalCache {
-        self.tx = None; // close the channel; workers drain and exit
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        let cache = Arc::clone(&self.cache);
-        drop(self);
-        match Arc::try_unwrap(cache) {
-            Ok(mutex) => mutex.into_inner(),
-            Err(shared) => shared.lock().clone(),
-        }
-    }
-}
-
-impl Drop for AsyncInferenceServer {
-    fn drop(&mut self) {
-        self.tx = None;
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+    pub fn shutdown(self) -> HistoricalCache {
+        self.cache
     }
 }
 
@@ -402,13 +252,14 @@ mod tests {
     use edgetune_tuner::objective::InferenceObjective;
     use edgetune_tuner::Metric;
 
-    fn start() -> AsyncInferenceServer {
+    fn inner() -> InferenceTuningServer {
         let device = DeviceSpec::raspberry_pi_3b();
         let space = InferenceSpace::for_device(&device);
-        let inner =
-            InferenceTuningServer::new(device, space, InferenceObjective::new(Metric::Runtime))
-                .unwrap();
-        AsyncInferenceServer::start(inner, HistoricalCache::new())
+        InferenceTuningServer::new(device, space, InferenceObjective::new(Metric::Runtime)).unwrap()
+    }
+
+    fn start() -> AsyncInferenceServer {
+        AsyncInferenceServer::start(inner(), HistoricalCache::new())
     }
 
     fn key(arch: &str) -> CacheKey {
@@ -421,17 +272,11 @@ mod tests {
 
     #[test]
     fn first_request_misses_second_hits() {
-        let server = start();
-        let first = server
-            .submit(key("ResNet/layers=18"), profile())
-            .wait()
-            .unwrap();
+        let mut server = start();
+        let first = server.submit(key("ResNet/layers=18"), profile()).unwrap();
         assert!(!first.cache_hit);
         assert!(first.runtime.value() > 0.0);
-        let second = server
-            .submit(key("ResNet/layers=18"), profile())
-            .wait()
-            .unwrap();
+        let second = server.submit(key("ResNet/layers=18"), profile()).unwrap();
         assert!(
             second.cache_hit,
             "same architecture must be served from history"
@@ -441,25 +286,11 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_inflight_requests_converge_to_one_computation() {
-        let server = start();
-        // Two requests for the same architecture before either completes:
-        // the worker serialises them, so the second is a cache hit.
-        let a = server.submit(key("ResNet/layers=34"), profile());
-        let b = server.submit(key("ResNet/layers=34"), profile());
-        let ra = a.wait().unwrap();
-        let rb = b.wait().unwrap();
-        assert!(!ra.cache_hit);
-        assert!(rb.cache_hit);
-    }
-
-    #[test]
     fn different_architectures_are_tuned_separately() {
-        let server = start();
-        let light = server.submit(key("light"), profile()).wait().unwrap();
+        let mut server = start();
+        let light = server.submit(key("light"), profile()).unwrap();
         let heavy = server
             .submit(key("heavy"), WorkProfile::new(8.5e9, 30.0e6, 246.0e6))
-            .wait()
             .unwrap();
         assert!(!light.cache_hit && !heavy.cache_hit);
         assert!(heavy.recommendation.throughput.value() < light.recommendation.throughput.value());
@@ -467,71 +298,18 @@ mod tests {
     }
 
     #[test]
-    fn pipelining_requests_overlap() {
-        let server = start();
-        // Fire several requests without waiting — the model server's
-        // pattern — then collect them all.
-        let pendings: Vec<PendingReply> = (0..4)
-            .map(|i| server.submit(key(&format!("arch-{i}")), profile()))
-            .collect();
-        for p in pendings {
-            // `wait` blocks on channel signaling (no polling deadline):
-            // it returns as soon as the worker replies or errors as soon
-            // as the reply sender is dropped, so the test never sits on a
-            // wall-clock timeout.
-            let reply = p.wait().unwrap();
-            assert!(reply.recommendation.throughput.value() > 0.0);
-        }
-    }
-
-    #[test]
-    fn try_wait_is_nonblocking() {
-        let server = start();
-        let pending = server.submit(key("slow"), profile());
-        // May or may not be ready instantly; both are valid — the call
-        // just must not block. When it *is* ready, `try_wait` receives
-        // (and thereby consumes) the reply, so fall back to `wait` only
-        // in the not-ready case.
-        let reply = match pending.try_wait() {
-            Some(reply) => reply,
-            None => pending.wait().unwrap(),
-        };
-        assert!(reply.recommendation.batch >= 1);
-    }
-
-    #[test]
     fn shutdown_returns_populated_cache() {
-        let server = start();
-        server.submit(key("a"), profile()).wait().unwrap();
+        let mut server = start();
+        server.submit(key("a"), profile()).unwrap();
         let cache = server.shutdown();
         assert_eq!(cache.len(), 1);
     }
 
-    #[test]
-    fn shutdown_drains_queued_requests() {
-        let server = start();
-        let pending = server.submit(key("queued"), profile());
-        let cache = server.shutdown();
-        assert_eq!(
-            cache.len(),
-            1,
-            "queued request must be processed before exit"
-        );
-        let reply = pending.wait().unwrap();
-        assert!(!reply.cache_hit);
-    }
-
     fn start_supervised(plan: edgetune_faults::FaultPlan) -> AsyncInferenceServer {
         use edgetune_util::rng::SeedStream;
-        let device = DeviceSpec::raspberry_pi_3b();
-        let space = InferenceSpace::for_device(&device);
-        let inner =
-            InferenceTuningServer::new(device, space, InferenceObjective::new(Metric::Runtime))
-                .unwrap();
         AsyncInferenceServer::start_supervised(
-            inner,
+            inner(),
             HistoricalCache::new(),
-            1,
             true,
             Some(FaultInjector::new(plan, SeedStream::new(77))),
             0,
@@ -541,19 +319,15 @@ mod tests {
     #[test]
     fn injected_worker_death_drops_the_reply_but_not_the_server() {
         use edgetune_faults::FaultPlan;
-        // Every request's worker dies: the requester times out, yet the
-        // server keeps accepting and the process survives.
-        let server = start_supervised(FaultPlan::none().with_worker_panic(1.0));
-        let pending = server.submit(key("doomed"), profile());
-        // An injected death drops the reply sender, so `wait` fails via
-        // channel disconnect immediately — no 500 ms wall-clock stall.
-        assert!(pending.wait().is_err());
+        // Every request's worker dies: the requester sees a lost reply,
+        // yet the server keeps accepting and the process survives.
+        let mut server = start_supervised(FaultPlan::none().with_worker_panic(1.0));
+        assert!(server.submit(key("doomed"), profile()).is_err());
         assert_eq!(server.injected_losses(), 1);
-        // The worker slot survived the injected death.
-        let second = server.submit(key("also-doomed"), profile());
-        assert!(second.wait().is_err());
+        assert!(server.submit(key("also-doomed"), profile()).is_err());
         assert_eq!(server.injected_losses(), 2);
         assert_eq!(server.submitted(), 2);
+        assert_eq!(server.worker_panics(), 0);
     }
 
     #[test]
@@ -564,8 +338,8 @@ mod tests {
             outage_duration_s: 30.0,
             ..FaultPlan::none()
         };
-        let server = start_supervised(plan);
-        let first = server.submit(key("a"), profile()).wait().unwrap();
+        let mut server = start_supervised(plan);
+        let first = server.submit(key("a"), profile()).unwrap();
         assert!(
             first.runtime.value() >= 30.0,
             "the outage must extend the sweep: {}",
@@ -573,7 +347,7 @@ mod tests {
         );
         assert_eq!(server.injected_outages(), 1);
         // Cache hits never touch the device, so they see no outage.
-        let hit = server.submit(key("a"), profile()).wait().unwrap();
+        let hit = server.submit(key("a"), profile()).unwrap();
         assert!(hit.cache_hit);
         assert_eq!(hit.runtime, Seconds::ZERO);
         assert_eq!(server.injected_outages(), 1);
@@ -581,9 +355,9 @@ mod tests {
 
     #[test]
     fn cache_stats_accessor_matches_the_snapshot_tally() {
-        let server = start();
-        server.submit(key("a"), profile()).wait().unwrap();
-        server.submit(key("a"), profile()).wait().unwrap();
+        let mut server = start();
+        server.submit(key("a"), profile()).unwrap();
+        server.submit(key("a"), profile()).unwrap();
         let stats = server.cache_stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
@@ -592,8 +366,8 @@ mod tests {
 
     #[test]
     fn unsupervised_server_reports_zero_fault_counters() {
-        let server = start();
-        let _ = server.submit(key("a"), profile()).wait().unwrap();
+        let mut server = start();
+        server.submit(key("a"), profile()).unwrap();
         assert_eq!(server.worker_panics(), 0);
         assert_eq!(server.injected_losses(), 0);
         assert_eq!(server.injected_outages(), 0);

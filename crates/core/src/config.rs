@@ -3,13 +3,12 @@
 //! [`EdgeTuneConfig`] is the single builder-style knob surface of the
 //! whole middleware: workload and edge device, objectives, budget and
 //! scheduler shape, sampler choice, the ablation switches (cache,
-//! pipelining), parallelism (real worker threads vs. simulated trial
+//! pipelining), parallelism (real engine shards vs. simulated trial
 //! slots), fault-injection and fault-tolerance policies, and
 //! checkpoint/resume. The [`Engine`](crate::engine::Engine) consumes a
 //! finished configuration; nothing here executes anything.
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 use edgetune_device::spec::DeviceSpec;
 use edgetune_faults::{DegradationLadder, FaultPlan, Supervisor};
@@ -103,21 +102,11 @@ pub struct EdgeTuneConfig {
     /// Pipeline inference tuning with training (Algorithm 1); disabling
     /// it is an ablation that runs every sweep on the critical path.
     pub pipelining: bool,
-    /// Concurrent sweep workers inside the inference server.
-    pub inference_workers: usize,
-    /// Real worker threads measuring a rung's trials concurrently. This
-    /// is pure wall-clock engineering: results are merged back in input
-    /// order and every simulated number (makespan, energy, history,
-    /// report JSON) is byte-identical whatever the thread count. Backends
-    /// opt in via
-    /// [`TrainingBackend::parallel_snapshot`](crate::backend::TrainingBackend::parallel_snapshot);
-    /// rungs fall back to sequential execution otherwise.
-    pub trial_workers: usize,
     /// Concurrent *simulated* training-trial slots on the model server
     /// (§3.1: "the model server can parallelize its tuning process").
     /// Trials of one scheduler rung are independent; with `n` slots the
     /// simulated makespan of a rung is its list-scheduled parallel
-    /// length. Unlike [`trial_workers`](EdgeTuneConfig::trial_workers),
+    /// length. Unlike [`study_shards`](EdgeTuneConfig::study_shards),
     /// this knob *changes* the reported makespan — it models a bigger
     /// tuning cluster, not a faster simulation.
     pub trial_slots: usize,
@@ -125,9 +114,12 @@ pub struct EdgeTuneConfig {
     /// shard measures its contiguous slice of every rung on its own
     /// backend snapshot and forked clock
     /// ([`StudyCoordinator`](crate::engine::StudyCoordinator)), and the
-    /// per-shard histories are merged back deterministically — like
-    /// [`trial_workers`](EdgeTuneConfig::trial_workers) this is pure
-    /// wall-clock engineering and never changes a reported byte. With
+    /// per-shard histories are merged back deterministically. This is
+    /// pure wall-clock engineering: every simulated number (makespan,
+    /// energy, history, report JSON) is byte-identical whatever the
+    /// shard count. Backends opt in via
+    /// [`TrainingBackend::parallel_snapshot`](crate::backend::TrainingBackend::parallel_snapshot);
+    /// rungs fall back to sequential execution otherwise. With
     /// checkpointing enabled, each shard also persists its own
     /// checkpoint shard file under a shard manifest.
     pub study_shards: usize,
@@ -166,9 +158,6 @@ pub struct EdgeTuneConfig {
     pub supervisor: Supervisor,
     /// Ordered fallbacks when an inference reply is lost.
     pub degradation: DegradationLadder,
-    /// Real-time cap on waiting for one inference reply before the
-    /// degradation ladder engages.
-    pub reply_timeout: Duration,
     /// Write a resumable study checkpoint here after every completed
     /// rung, if set.
     pub checkpoint_path: Option<PathBuf>,
@@ -182,7 +171,7 @@ pub struct EdgeTuneConfig {
     pub halt_after_rungs: Option<u32>,
     /// Write the study's Chrome trace-event JSON here after the run, if
     /// set. The trace is a reported artifact: byte-identical for a
-    /// fixed seed whatever the `trial_workers` / `study_shards` counts,
+    /// fixed seed whatever the `study_shards` count,
     /// and recording it never changes a report byte.
     pub trace_path: Option<PathBuf>,
     /// Configurations replayed by the sampler before its own strategy
@@ -219,8 +208,6 @@ impl EdgeTuneConfig {
             cache_path: None,
             historical_cache: true,
             pipelining: true,
-            inference_workers: 1,
-            trial_workers: 1,
             trial_slots: 1,
             study_shards: 1,
             shard_exec: ShardExec::Thread,
@@ -231,7 +218,6 @@ impl EdgeTuneConfig {
             fault_plan: FaultPlan::none(),
             supervisor: Supervisor::default(),
             degradation: DegradationLadder::default(),
-            reply_timeout: Duration::from_secs(30),
             checkpoint_path: None,
             resume: false,
             halt_after_rungs: None,
@@ -315,33 +301,6 @@ impl EdgeTuneConfig {
         self
     }
 
-    /// Sets the number of concurrent inference-sweep workers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    #[must_use]
-    pub fn with_inference_workers(mut self, workers: usize) -> Self {
-        assert!(workers >= 1, "need at least one worker");
-        self.inference_workers = workers;
-        self
-    }
-
-    /// Sets the number of real trial-measuring worker threads (and gives
-    /// the inference server a matching worker pool). Affects wall-clock
-    /// tuning speed only — reports are byte-identical for any count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    #[must_use]
-    pub fn with_trial_workers(mut self, workers: usize) -> Self {
-        assert!(workers >= 1, "need at least one worker");
-        self.trial_workers = workers;
-        self.inference_workers = self.inference_workers.max(workers);
-        self
-    }
-
     /// Sets the number of simulated concurrent trial slots: the modeled
     /// tuning cluster's width, which shrinks the *simulated* makespan of
     /// every rung to its list-scheduled parallel length.
@@ -357,13 +316,10 @@ impl EdgeTuneConfig {
     }
 
     /// Sets the number of engine shards the study is partitioned
-    /// across. Shard-level and work-stealing measurement
-    /// ([`with_trial_workers`](EdgeTuneConfig::with_trial_workers)) are
-    /// mutually exclusive real-parallelism strategies: the engine
-    /// rejects a configuration that enables both. Like `trial_workers`,
-    /// sharding never changes a reported byte; unlike
-    /// [`with_trial_slots`](EdgeTuneConfig::with_trial_slots) it does
-    /// not model a wider cluster.
+    /// across — the one in-process real-parallelism knob. Sharding
+    /// affects wall-clock tuning speed only and never changes a reported
+    /// byte; unlike [`with_trial_slots`](EdgeTuneConfig::with_trial_slots)
+    /// it does not model a wider cluster.
     ///
     /// # Panics
     ///
@@ -432,13 +388,6 @@ impl EdgeTuneConfig {
     #[must_use]
     pub fn with_degradation(mut self, ladder: DegradationLadder) -> Self {
         self.degradation = ladder;
-        self
-    }
-
-    /// Sets the real-time cap on waiting for one inference reply.
-    #[must_use]
-    pub fn with_reply_timeout(mut self, timeout: Duration) -> Self {
-        self.reply_timeout = timeout;
         self
     }
 
@@ -524,40 +473,23 @@ mod tests {
         assert!(config.hyperband);
         assert!(config.pipelining);
         assert!(config.historical_cache);
-        assert_eq!(config.trial_workers, 1);
         assert_eq!(config.trial_slots, 1);
         assert_eq!(config.study_shards, 1);
-        assert_eq!(config.inference_workers, 1);
     }
 
     #[test]
-    fn study_shards_are_a_third_independent_knob() {
+    fn study_shards_and_slots_are_independent_knobs() {
         let config = EdgeTuneConfig::for_workload(WorkloadId::Ic)
             .with_study_shards(4)
             .with_trial_slots(2);
         assert_eq!(config.study_shards, 4);
         assert_eq!(config.trial_slots, 2);
-        // Sharding is measurement-side engineering; it leaves the
-        // inference pool alone.
-        assert_eq!(config.inference_workers, 1);
     }
 
     #[test]
     #[should_panic(expected = "at least one study shard")]
     fn zero_study_shards_are_rejected() {
         let _ = EdgeTuneConfig::for_workload(WorkloadId::Ic).with_study_shards(0);
-    }
-
-    #[test]
-    fn trial_workers_and_slots_are_independent_knobs() {
-        let config = EdgeTuneConfig::for_workload(WorkloadId::Ic)
-            .with_trial_workers(4)
-            .with_trial_slots(2);
-        assert_eq!(config.trial_workers, 4);
-        assert_eq!(config.trial_slots, 2);
-        // Real threads pull the inference pool up with them; simulated
-        // slots do not.
-        assert_eq!(config.inference_workers, 4);
     }
 
     #[test]

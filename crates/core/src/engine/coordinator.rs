@@ -14,11 +14,13 @@
 //! [`HistoryMerge`](edgetune_tuner::merge::HistoryMerge)'s
 //! `(simulated start, bracket, trial id)` key.
 //!
-//! The shared `HistoricalCache` inside the
-//! [`AsyncInferenceServer`](crate::async_server::AsyncInferenceServer)
-//! is deliberately *not* sharded: it is the one cross-shard channel, so
-//! an architecture tuned by any shard is never re-tuned by another —
-//! Algorithm 1's memoisation survives sharding untouched.
+//! Shards never talk to the
+//! [`AsyncInferenceServer`](crate::async_server::AsyncInferenceServer):
+//! they measure phase A only, and every inference request comes from
+//! the sequential phase B, so the single `HistoricalCache` sees the same
+//! requests in the same order for any shard count — an architecture is
+//! never re-tuned, and Algorithm 1's memoisation survives sharding
+//! untouched.
 //!
 //! Shard execution (phase A) is deliberately *untraced*: shards only
 //! precompute raw measurements on wall-clock threads, and every trace

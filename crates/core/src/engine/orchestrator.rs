@@ -80,9 +80,8 @@ impl<'a> Engine<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidConfig`] for inconsistent configurations,
-    /// [`Error::Storage`] if the historical cache cannot be written, and
-    /// [`Error::Channel`] if the inference server fails irrecoverably.
+    /// Returns [`Error::InvalidConfig`] for inconsistent configurations
+    /// and [`Error::Storage`] if the historical cache cannot be written.
     pub fn run_with_backend(&self, backend: &mut dyn TrainingBackend) -> Result<TuningReport> {
         let tracer = Tracer::new();
         let report = self.run_inner(backend, &tracer)?;
@@ -134,13 +133,6 @@ impl<'a> Engine<'a> {
         let space = backend.search_space();
         if space.is_empty() {
             return Err(Error::invalid_config("backend search space is empty"));
-        }
-        if self.config.study_shards > 1 && self.config.trial_workers > 1 {
-            return Err(Error::invalid_config(format!(
-                "study_shards ({}) and trial_workers ({}) are both real thread pools: \
-                 enable at most one of them",
-                self.config.study_shards, self.config.trial_workers
-            )));
         }
         if self.config.shard_exec == ShardExec::Remote && self.config.shard_hosts.is_empty() {
             return Err(Error::invalid_config(
@@ -257,10 +249,9 @@ impl<'a> Engine<'a> {
         } else {
             None
         };
-        let async_server = AsyncInferenceServer::start_supervised(
+        let mut async_server = AsyncInferenceServer::start_supervised(
             inference_server,
             cache,
-            self.config.inference_workers,
             self.config.historical_cache,
             inference_faults,
             first_seq,
@@ -302,14 +293,13 @@ impl<'a> Engine<'a> {
         let (history, stamps, makespan, stall, inference_energy, degradation, rungs_completed) = {
             let mut evaluator = OnefoldEvaluator {
                 backend,
-                inference: &async_server,
+                inference: &mut async_server,
                 device: &self.config.edge_device,
                 inference_metric: self.config.inference_metric,
                 objective,
                 tracer,
                 pipelining: self.config.pipelining,
                 pareto: self.config.pareto.is_some(),
-                trial_workers: self.config.trial_workers,
                 trial_slots: self.config.trial_slots,
                 study_shards: self.config.study_shards,
                 fabric: fabric.as_mut(),
@@ -319,7 +309,6 @@ impl<'a> Engine<'a> {
                 faults_enabled,
                 supervisor: self.config.supervisor,
                 ladder: &self.config.degradation,
-                reply_timeout: self.config.reply_timeout,
                 supervisor_seed: SeedStream::new(self.config.seed).child("supervisor"),
                 backoff_draws: resumed_backoff_draws,
                 stats: resumed_degradation,
@@ -422,8 +411,8 @@ impl<'a> Engine<'a> {
         let recommendation = match final_cache.peek(&key) {
             Some(rec) => rec.clone(),
             None => {
-                // Only reachable if the worker died mid-run; recompute
-                // synchronously.
+                // Only reachable if the winner's reply was lost mid-run;
+                // recompute it here.
                 let server = InferenceTuningServer::new(
                     self.config.edge_device.clone(),
                     InferenceSpace::for_device(&self.config.edge_device),
@@ -735,21 +724,10 @@ mod ablation_tests {
         // overlaps.
         assert!(synchronous.timeline().overlap_fraction() < 0.01);
     }
-
-    #[test]
-    fn worker_pool_accepts_multiple_workers() {
-        let report = EdgeTune::new(quick_config().with_inference_workers(4))
-            .run()
-            .unwrap();
-        assert!(!report.history().is_empty());
-        assert!(report.recommendation().batch >= 1);
-    }
 }
 
 #[cfg(test)]
 mod chaos_tests {
-    use std::time::Duration;
-
     use crate::config::EdgeTuneConfig;
     use crate::server::EdgeTune;
     use edgetune_faults::{FaultPlan, Supervisor};
@@ -836,7 +814,6 @@ mod chaos_tests {
         let plan = FaultPlan::none().with_worker_panic(1.0);
         let config = quick_config()
             .with_fault_plan(plan)
-            .with_reply_timeout(Duration::from_millis(200))
             .with_supervisor(Supervisor::new(edgetune_faults::RetryPolicy {
                 max_attempts: 2,
                 base_delay: Seconds::new(1.0),
@@ -885,7 +862,6 @@ mod shard_tests {
     use crate::server::EdgeTune;
     use edgetune_faults::FaultPlan;
     use edgetune_tuner::scheduler::SchedulerConfig;
-    use edgetune_util::Error;
     use edgetune_workloads::catalog::WorkloadId;
 
     fn quick_config() -> EdgeTuneConfig {
@@ -923,17 +899,6 @@ mod shard_tests {
             baseline.to_json().unwrap(),
             sharded.to_json().unwrap(),
             "per-bracket stamps must keep HyperBand runs shard-invariant"
-        );
-    }
-
-    #[test]
-    fn shards_and_trial_workers_are_mutually_exclusive() {
-        let err = EdgeTune::new(quick_config().with_study_shards(2).with_trial_workers(2))
-            .run()
-            .unwrap_err();
-        assert!(
-            matches!(err, Error::InvalidConfig(_)),
-            "two competing thread pools must be rejected, got {err:?}"
         );
     }
 

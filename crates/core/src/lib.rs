@@ -14,8 +14,9 @@
 //! * for every candidate architecture it asynchronously consults the
 //!   [`inference::InferenceTuningServer`], which searches inference batch
 //!   size / CPU cores / frequency on an emulated edge device
-//!   ([`async_server::AsyncInferenceServer`] runs it on a background
-//!   thread, pipelined with training, per Algorithm 1 / Fig. 6),
+//!   ([`async_server::AsyncInferenceServer`] answers each request, and
+//!   the simulated clock pipelines the sweep with training per
+//!   Algorithm 1 / Fig. 6),
 //! * results are memoised in a persistent [`cache::HistoricalCache`]
 //!   keyed by architecture signature, so a structure is never re-tuned,
 //! * the [`batching`] module sizes inference batches for the two serving

@@ -91,7 +91,8 @@ pub struct DegradationStats {
     pub trial_retries: u64,
     /// Trials abandoned with a penalty score after exhausting retries.
     pub trials_skipped: u64,
-    /// Inference requests whose reply was lost (worker death or timeout).
+    /// Inference requests whose reply was lost (worker death or a caught
+    /// panic).
     pub worker_losses: u64,
     /// Inference requests resubmitted by the ladder's retry rung.
     pub inference_retries: u64,

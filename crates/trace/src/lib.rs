@@ -9,8 +9,8 @@
 //! `WallClock`-driven run traces in host seconds, through the same API.
 //!
 //! Determinism is the design constraint. Trace bytes must be identical
-//! for a fixed seed regardless of how many real measurement threads or
-//! engine shards the run used, so:
+//! for a fixed seed regardless of how many engine shards the run used,
+//! so:
 //!
 //! * events carry a global sequence number assigned at emission, and the
 //!   exporter's only reordering is a *stable* sort by timestamp — ties

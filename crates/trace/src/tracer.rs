@@ -1,9 +1,10 @@
 //! The [`Tracer`]: a collector of clock-stamped events, plus the
 //! per-thread [`TraceSheet`] buffer and its deterministic merge.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use edgetune_runtime::Clock;
 use edgetune_util::units::Seconds;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::event::{EventKind, TraceEvent, TrackId};
@@ -27,8 +28,8 @@ struct TracerInner {
 /// Collects trace events behind one mutex.
 ///
 /// The hot paths of the study (phase B accounting, the serving DES loop)
-/// emit from a single thread, so one uncontended `parking_lot` mutex is
-/// cheap; code that genuinely emits from parallel workers records into a
+/// emit from a single thread, so one uncontended mutex is cheap; code
+/// that genuinely emits from parallel workers records into a
 /// [`TraceSheet`] and merges via [`Tracer::absorb`] instead of taking
 /// this lock per event.
 #[derive(Debug, Default)]
@@ -43,6 +44,14 @@ impl Tracer {
         Tracer::default()
     }
 
+    /// Takes the lock. A poisoned lock means an emitter panicked while
+    /// holding it; every update under the lock is a push of a complete
+    /// track or event, so the buffers stay valid and the guard is
+    /// recovered.
+    fn lock(&self) -> MutexGuard<'_, TracerInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Registers (or finds) the track named `name` under `process`.
     ///
     /// Registration order is the track's id and its sort order in the
@@ -50,7 +59,7 @@ impl Tracer {
     /// deterministic order — which they get for free by registering
     /// lazily from deterministic emission sites.
     pub fn track(&self, process: &str, name: &str) -> TrackId {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         if let Some(index) = inner
             .tracks
             .iter()
@@ -182,7 +191,7 @@ impl Tracer {
     }
 
     fn push(&self, mut event: TraceEvent) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         event.seq = inner.next_seq;
         inner.next_seq += 1;
         inner.events.push(event);
@@ -208,7 +217,7 @@ impl Tracer {
                 .then(a.0.cmp(&b.0))
                 .then(a.1.seq.cmp(&b.1.seq))
         });
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         for (_, mut event) in merged {
             event.seq = inner.next_seq;
             inner.next_seq += 1;
@@ -219,19 +228,19 @@ impl Tracer {
     /// A snapshot of every recorded event, in emission order.
     #[must_use]
     pub fn snapshot(&self) -> Vec<TraceEvent> {
-        self.inner.lock().events.clone()
+        self.lock().events.clone()
     }
 
     /// A snapshot of the registered tracks, in registration order.
     #[must_use]
     pub fn tracks(&self) -> Vec<Track> {
-        self.inner.lock().tracks.clone()
+        self.lock().tracks.clone()
     }
 
     /// Number of recorded events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner.lock().events.len()
+        self.lock().events.len()
     }
 
     /// Whether nothing has been recorded yet.

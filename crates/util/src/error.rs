@@ -24,8 +24,8 @@ pub enum Error {
     /// An I/O or (de)serialization problem, e.g. in the persistent trial
     /// database.
     Storage(String),
-    /// A background component (inference server thread, worker pool)
-    /// disconnected or failed.
+    /// A component lost its reply or failed (e.g. an inference-tuning
+    /// request whose worker died).
     Channel(String),
 }
 

@@ -1,5 +1,5 @@
 //! EdgeTune driving *real* gradient-descent training: the same
-//! middleware (onefold search, async inference server, historical cache)
+//! middleware (onefold search, pipelined inference server, historical cache)
 //! runs against `edgetune-nn`'s from-scratch MLP instead of the workload
 //! simulator — proving the tuning stack is not tied to simulation.
 //!
@@ -28,7 +28,7 @@ fn main() -> Result<(), edgetune_util::Error> {
     println!("val accuracy  : {:.1}%", report.best_accuracy() * 100.0);
     println!("trials        : {}", report.history().len());
     println!(
-        "wall time     : {:.2} s of genuine training",
+        "train time    : {:.2} s simulated (real SGD, costed on the virtual clock)",
         report
             .history()
             .records()
