@@ -4,8 +4,8 @@
 //! Each submodule of [`experiments`] reproduces one table or figure from
 //! the evaluation and returns its data as a rendered text table (the
 //! `repro` binary prints them; EXPERIMENTS.md archives paper-vs-measured).
-//! The `perf_baseline` binary snapshots the speed of the middleware
-//! components themselves into the `BENCH_*.json` files CI gates on.
+//! The speed of the middleware itself is measured by the repository
+//! benchmark, `perfbench/`, not here.
 
 pub mod experiments;
 pub mod helpers;

@@ -270,13 +270,14 @@ fn serve_session(stream: TcpStream, shared: &Arc<HostShared>) {
         }
     };
     let mut conn = conn;
-    let hello = match accept_hello(&mut conn) {
+    // Count the reject before the peer reads its verdict: a peer that
+    // has seen the rejection must find it in the host's stats.
+    let hello = match accept_hello(&mut conn, |reason| {
+        shared.counters.rejects.fetch_add(1, Ordering::Relaxed);
+        eprintln!("shard-host: rejected a peer: {reason}");
+    }) {
         Ok(hello) => hello,
-        Err(NetError::Rejected(reason)) => {
-            shared.counters.rejects.fetch_add(1, Ordering::Relaxed);
-            eprintln!("shard-host: rejected a peer: {reason}");
-            return;
-        }
+        Err(NetError::Rejected(_)) => return,
         Err(e) => {
             eprintln!("shard-host: handshake failed: {e}");
             return;

@@ -11,7 +11,7 @@
 
 use std::io::{Read, Write};
 
-use edgetune_runtime::frame::{read_frame, write_frame, FrameKind};
+use edgetune_runtime::frame::{read_frame, write_frame, Frame, FrameKind};
 use serde::{Deserialize, Serialize};
 
 use crate::NetError;
@@ -112,68 +112,76 @@ pub fn client_hello<S: Read + Write>(stream: &mut S, hello: &Hello) -> Result<He
 ///
 /// On a mismatch the peer receives a [`HandshakeReject`] naming exactly
 /// what was wrong, and this function returns [`NetError::Rejected`] so
-/// the server can log and drop the session.
+/// the server can log and drop the session. `before_reject` runs with
+/// that reason *before* the rejection is written, so whatever the
+/// server records about the reject is in place by the time the peer can
+/// observe it.
 ///
 /// # Errors
 ///
 /// [`NetError::Rejected`] for a well-framed peer speaking the wrong
 /// protocol, [`NetError::Protocol`] when the first frame is not a
 /// hello, or the underlying I/O and frame errors.
-pub fn accept_hello<S: Read + Write>(stream: &mut S) -> Result<Hello, NetError> {
+pub fn accept_hello<S: Read + Write>(
+    stream: &mut S,
+    before_reject: impl FnOnce(&str),
+) -> Result<Hello, NetError> {
     let frame = read_frame(stream)?
         .ok_or_else(|| NetError::Protocol("connection closed before a hello".to_string()))?;
+    match judge_hello(&frame) {
+        Ok(hello) => {
+            write_frame(
+                stream,
+                FrameKind::HelloAck,
+                &encode(&HelloAck {
+                    magic: PROTOCOL_MAGIC,
+                    version: PROTOCOL_VERSION,
+                }),
+            )?;
+            Ok(hello)
+        }
+        Err(reason) => {
+            before_reject(&reason);
+            // Best-effort: the peer may already be gone.
+            let _ = write_frame(
+                stream,
+                FrameKind::Error,
+                &encode(&HandshakeReject {
+                    reason: reason.clone(),
+                }),
+            );
+            Err(NetError::Rejected(reason))
+        }
+    }
+}
+
+/// The server's verdict on a peer's first frame: its [`Hello`], or the
+/// reason to turn the session away.
+fn judge_hello(frame: &Frame) -> Result<Hello, String> {
     if frame.kind != FrameKind::Hello {
-        let reject = reject(
-            stream,
-            format!("expected a hello frame, got a {:?} frame", frame.kind),
-        );
-        return Err(reject);
+        return Err(format!(
+            "expected a hello frame, got a {:?} frame",
+            frame.kind
+        ));
     }
     let hello: Hello = match decode(&frame.payload, "hello") {
         Ok(hello) => hello,
-        Err(NetError::Protocol(what)) => return Err(reject(stream, what)),
-        Err(other) => return Err(other),
+        Err(NetError::Protocol(what)) => return Err(what),
+        Err(other) => return Err(other.to_string()),
     };
     if hello.magic != PROTOCOL_MAGIC {
-        return Err(reject(
-            stream,
-            format!(
-                "protocol magic mismatch: peer sent {:#010x}, this host speaks {:#010x}",
-                hello.magic, PROTOCOL_MAGIC
-            ),
+        return Err(format!(
+            "protocol magic mismatch: peer sent {:#010x}, this host speaks {:#010x}",
+            hello.magic, PROTOCOL_MAGIC
         ));
     }
     if hello.version != PROTOCOL_VERSION {
-        return Err(reject(
-            stream,
-            format!(
-                "protocol version mismatch: peer speaks v{}, this host speaks v{}",
-                hello.version, PROTOCOL_VERSION
-            ),
+        return Err(format!(
+            "protocol version mismatch: peer speaks v{}, this host speaks v{}",
+            hello.version, PROTOCOL_VERSION
         ));
     }
-    write_frame(
-        stream,
-        FrameKind::HelloAck,
-        &encode(&HelloAck {
-            magic: PROTOCOL_MAGIC,
-            version: PROTOCOL_VERSION,
-        }),
-    )?;
     Ok(hello)
-}
-
-/// Sends a structured rejection (best-effort — the peer may already be
-/// gone) and returns it as the server-side error.
-fn reject<S: Read + Write>(stream: &mut S, reason: String) -> NetError {
-    let _ = write_frame(
-        stream,
-        FrameKind::Error,
-        &encode(&HandshakeReject {
-            reason: reason.clone(),
-        }),
-    );
-    NetError::Rejected(reason)
 }
 
 #[cfg(test)]
@@ -191,7 +199,7 @@ mod tests {
             reader: Cursor::new(client_out),
             writer: Vec::new(),
         };
-        let server_result = accept_hello(&mut server);
+        let server_result = accept_hello(&mut server, |_| {});
         let mut client = Duplex {
             reader: Cursor::new(server.writer),
             writer: Vec::new(),
@@ -265,7 +273,7 @@ mod tests {
             reader: Cursor::new(input),
             writer: Vec::new(),
         };
-        let err = accept_hello(&mut server).unwrap_err();
+        let err = accept_hello(&mut server, |_| {}).unwrap_err();
         assert!(matches!(err, NetError::Rejected(r) if r.contains("hello")));
     }
 
@@ -277,9 +285,15 @@ mod tests {
             reader: Cursor::new(input),
             writer: Vec::new(),
         };
-        assert!(matches!(
-            accept_hello(&mut server).unwrap_err(),
-            NetError::Rejected(_)
-        ));
+        let mut seen = None;
+        let err = accept_hello(&mut server, |reason| seen = Some(reason.to_string())).unwrap_err();
+        let NetError::Rejected(reason) = err else {
+            panic!("server should reject, got: {err}");
+        };
+        assert_eq!(
+            seen,
+            Some(reason),
+            "the hook sees the reason the peer is sent"
+        );
     }
 }

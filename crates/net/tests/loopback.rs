@@ -34,7 +34,7 @@ fn with_server<T: Send + 'static>(
 fn connect_accept_and_handshake_round_trip() {
     let (mut client, server) = with_server(|stream| {
         let mut framed = FramedTcp::from_stream(stream).expect("wrap accepted stream");
-        accept_hello(&mut framed).expect("accept hello")
+        accept_hello(&mut framed, |_| {}).expect("accept hello")
     });
     let ack = client_hello(&mut client, &Hello::new(42, "backend-spec-json")).expect("handshake");
     assert_eq!(ack.magic, PROTOCOL_MAGIC);
@@ -48,7 +48,7 @@ fn connect_accept_and_handshake_round_trip() {
 fn mismatched_version_is_rejected_with_a_reason_not_a_crc_failure() {
     let (mut client, server) = with_server(|stream| {
         let mut framed = FramedTcp::from_stream(stream).expect("wrap accepted stream");
-        accept_hello(&mut framed)
+        accept_hello(&mut framed, |_| {})
     });
     let mut hello = Hello::new(7, "");
     hello.version = PROTOCOL_VERSION + 9;
@@ -70,7 +70,7 @@ fn mismatched_version_is_rejected_with_a_reason_not_a_crc_failure() {
 fn mismatched_magic_is_rejected_with_a_reason() {
     let (mut client, server) = with_server(|stream| {
         let mut framed = FramedTcp::from_stream(stream).expect("wrap accepted stream");
-        accept_hello(&mut framed)
+        accept_hello(&mut framed, |_| {})
     });
     let mut hello = Hello::new(7, "");
     hello.magic = 0x600D_F00D;

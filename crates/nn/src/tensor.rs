@@ -279,7 +279,8 @@ impl Tensor {
     ///
     /// Deliberately unblocked — the inner loop walks a column of `rhs`
     /// with stride `n`, so this is the cache-hostile baseline the
-    /// blocked kernel is benchmarked (`perf_baseline --hotpath`) and
+    /// blocked kernel is timed against (the ignored release-mode test
+    /// `kernel_properties::blocked_matmul_beats_the_naive_kernel`) and
     /// proptested against. It keeps the same zero-coefficient skip and
     /// ascending-`k` accumulation, hence bit-identical results.
     ///
