@@ -90,19 +90,23 @@ impl ObjectiveVector {
     /// axes dominate in neither direction.
     #[must_use]
     pub fn dominates(&self, other: &ObjectiveVector) -> bool {
-        let a = self.costs();
-        let b = other.costs();
-        let mut strictly_better = false;
-        for i in 0..3 {
-            if a[i] > b[i] {
-                return false;
-            }
-            if a[i] < b[i] {
-                strictly_better = true;
-            }
-        }
-        strictly_better
+        dominates(&self.costs(), &other.costs())
     }
+}
+
+/// Pareto dominance on cost views: `a` is no worse than `b` on every axis
+/// and strictly better on at least one.
+fn dominates(a: &[f64; 3], b: &[f64; 3]) -> bool {
+    let mut strictly_better = false;
+    for i in 0..3 {
+        if a[i] > b[i] {
+            return false;
+        }
+        if a[i] < b[i] {
+            strictly_better = true;
+        }
+    }
+    strictly_better
 }
 
 /// Canonical ordering of vectors: lexicographic on the cost view, so the
@@ -172,12 +176,20 @@ impl ParetoFront {
             return false;
         }
         self.points.retain(|p| !point.vector.dominates(&p.vector));
-        self.points.push(point);
-        self.points.sort_by(|a, b| {
-            cost_order(&a.vector, &b.vector)
-                .then_with(|| a.config.key().cmp(&b.config.key()))
-                .then(a.trial.cmp(&b.trial))
+        // The residents stay in canonical order, so the newcomer goes
+        // after every resident that sorts at or before it. Config keys
+        // are formatted only to break cost-view ties.
+        let mut key = None;
+        let at = self.points.partition_point(|p| {
+            cost_order(&p.vector, &point.vector)
+                .then_with(|| {
+                    let key = key.get_or_insert_with(|| point.config.key());
+                    p.config.key().cmp(key)
+                })
+                .then(p.trial.cmp(&point.trial))
+                .is_le()
         });
+        self.points.insert(at, point);
         true
     }
 
@@ -210,95 +222,116 @@ impl ParetoFront {
 
     /// Exact dominated hypervolume against `reference` (a point every
     /// resident should dominate; residents outside it contribute
-    /// nothing). Swept along the first cost axis with a 2-D staircase
-    /// area per slab — O(n² log n), plenty for report-sized fronts.
+    /// nothing), from one [`hypervolume_sweep`]: O(n²) for n residents.
     #[must_use]
     pub fn hypervolume(&self, reference: [f64; 3]) -> f64 {
-        let mut pts: Vec<[f64; 3]> = self
-            .points
-            .iter()
-            .map(|p| p.vector.costs())
-            .filter(|c| c[0] < reference[0] && c[1] < reference[1] && c[2] < reference[2])
-            .collect();
-        if pts.is_empty() {
-            return 0.0;
-        }
-        pts.sort_by(|a, b| a[0].total_cmp(&b[0]));
-        let mut volume = 0.0;
-        let mut i = 0;
-        while i < pts.len() {
-            let x = pts[i][0];
-            // Everything at cost0 <= x is active in this slab.
-            let mut j = i;
-            while j < pts.len() && pts[j][0] <= x {
-                j += 1;
-            }
-            let width = if j < pts.len() {
-                pts[j][0]
-            } else {
-                reference[0]
-            } - x;
-            let area = staircase_area(&pts[..j], reference[1], reference[2]);
-            volume += width * area;
-            i = j;
-        }
-        volume
-    }
-
-    /// How much inserting `v` would grow the dominated hypervolume — the
-    /// hypervolume-improvement acquisition value of a candidate.
-    #[must_use]
-    pub fn hypervolume_improvement(&self, v: &ObjectiveVector, reference: [f64; 3]) -> f64 {
-        let mut extended = self.clone();
-        extended.insert(FrontPoint {
-            config: Config::new(),
-            vector: *v,
-            trial: u64::MAX,
-        });
-        (extended.hypervolume(reference) - self.hypervolume(reference)).max(0.0)
+        let costs: Vec<[f64; 3]> = self.points.iter().map(|p| p.vector.costs()).collect();
+        hypervolume_sweep(&costs, reference).0
     }
 }
 
-/// 2-D dominated area of `pts` (projected to cost axes 1 and 2) against
-/// the reference corner `(ry, rz)`.
-fn staircase_area(pts: &[[f64; 3]], ry: f64, rz: f64) -> f64 {
-    let mut proj: Vec<(f64, f64)> = pts
-        .iter()
-        .filter(|c| c[1] < ry && c[2] < rz)
-        .map(|c| (c[1], c[2]))
+/// The dominated hypervolume of `costs` against `reference`, and every
+/// point's exclusive contribution to it, in one sweep.
+///
+/// Cost axis 0 is cut into slabs at each distinct value. A slab's cross
+/// section is the 2-D staircase (axes 1 and 2) of every point at or
+/// below it, walked once over the points pre-sorted by (axis 1, axis 2).
+/// Each strip between consecutive axis-1 values is covered from the
+/// lowest axis-2 value seen so far up to the reference; the band below
+/// the second-lowest value is covered by the lowest point alone and is
+/// its exclusive share. Points on or beyond the reference dominate
+/// nothing and score 0, and duplicated coordinates cover only shared
+/// space, so they score exactly 0. O(n²) for n points: n slabs times an
+/// n-point walk, after one sort per axis order.
+fn hypervolume_sweep(costs: &[[f64; 3]], reference: [f64; 3]) -> (f64, Vec<f64>) {
+    let [rx, ry, rz] = reference;
+    let mut contributions = vec![0.0; costs.len()];
+    let mut by_x: Vec<usize> = (0..costs.len())
+        .filter(|&i| costs[i][0] < rx && costs[i][1] < ry && costs[i][2] < rz)
         .collect();
-    if proj.is_empty() {
-        return 0.0;
-    }
-    proj.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
-    let mut area = 0.0;
-    let mut best_z = rz;
-    let mut i = 0;
-    while i < proj.len() {
-        let y = proj[i].0;
-        // Lowest z at this y (and everything left of it was already
-        // swept).
-        let mut z = proj[i].1;
-        let mut j = i;
-        while j < proj.len() && proj[j].0 <= y {
-            z = z.min(proj[j].1);
-            j += 1;
+    let mut by_yz = by_x.clone();
+    by_x.sort_by(|&a, &b| costs[a][0].total_cmp(&costs[b][0]));
+    by_yz.sort_by(|&a, &b| {
+        costs[a][1]
+            .total_cmp(&costs[b][1])
+            .then(costs[a][2].total_cmp(&costs[b][2]))
+    });
+    let mut active = vec![false; costs.len()];
+    let mut volume = 0.0;
+    let mut next = 0;
+    while next < by_x.len() {
+        // Everything at cost0 <= x is active in this slab.
+        let x = costs[by_x[next]][0];
+        while next < by_x.len() && costs[by_x[next]][0] <= x {
+            active[by_x[next]] = true;
+            next += 1;
         }
-        if z < best_z {
-            let next_y = if j < proj.len() { proj[j].0 } else { ry };
-            area += (next_y - y) * (rz - z.min(best_z));
-            // Overlap with the already-counted slab to the right of y is
-            // impossible: we sweep left to right and only count the strip
-            // [y, next_y).
-            best_z = best_z.min(z);
-        } else {
-            // Dominated in the projection: adds nothing.
-            let next_y = if j < proj.len() { proj[j].0 } else { ry };
-            area += (next_y - y) * (rz - best_z);
+        let width = by_x.get(next).map_or(rx, |&i| costs[i][0]) - x;
+
+        // Every walked point is inside the reference, so the first one
+        // becomes the owner of the lowest axis-2 value.
+        let mut area = 0.0;
+        let (mut lowest, mut second, mut owner) = (rz, rz, usize::MAX);
+        let mut walk = by_yz.iter().copied().filter(|&i| active[i]).peekable();
+        while let Some(first) = walk.next() {
+            let y = costs[first][1];
+            let mut group = Some(first);
+            while let Some(i) = group {
+                let z = costs[i][2];
+                if z < lowest {
+                    (second, lowest, owner) = (lowest, z, i);
+                } else if z < second {
+                    second = z;
+                }
+                group = walk.next_if(|&j| costs[j][1] <= y);
+            }
+            let next_y = walk.peek().map_or(ry, |&i| costs[i][1]);
+            area += (next_y - y) * (rz - lowest);
+            contributions[owner] += width * ((next_y - y) * (second - lowest));
         }
-        i = j;
+        volume += width * area;
     }
-    area
+    (volume, contributions)
+}
+
+/// Dominance layers of `vectors` (indices into it), from one
+/// non-dominated sort: layer 0 is the Pareto front, layer 1 the front of
+/// what remains, and so on — the layers peeling fronts off one by one
+/// would produce. Members are listed in cost-view lexicographic order.
+///
+/// A dominator is lexicographically smaller in the cost view, so a pass
+/// in that order meets every point's dominators before the point. A
+/// point dominated by nothing in layer k is dominated by nothing in any
+/// later layer either (a later dominator would itself be dominated from
+/// layer k), so each point joins the first layer holding none of its
+/// dominators. At most O(n²) dominance checks, far fewer when the
+/// layers are many.
+fn dominance_layers(vectors: &[ObjectiveVector]) -> Vec<Vec<usize>> {
+    // Adding 0.0 folds -0.0 onto 0.0, so the total order agrees with the
+    // comparisons dominance makes.
+    let keys: Vec<[f64; 3]> = vectors.iter().map(|v| v.costs().map(|c| c + 0.0)).collect();
+    let mut order: Vec<usize> = (0..vectors.len()).collect();
+    order.sort_by(|&a, &b| {
+        let (ka, kb) = (keys[a], keys[b]);
+        ka[0]
+            .total_cmp(&kb[0])
+            .then(ka[1].total_cmp(&kb[1]))
+            .then(ka[2].total_cmp(&kb[2]))
+    });
+    let mut layers: Vec<Vec<usize>> = Vec::new();
+    for i in order {
+        // Newest members first: they are the lexicographically closest,
+        // so a dominator, if any, tends to turn up sooner.
+        let layer = layers
+            .iter()
+            .position(|members| !members.iter().rev().any(|&j| dominates(&keys[j], &keys[i])))
+            .unwrap_or(layers.len());
+        if layer == layers.len() {
+            layers.push(Vec::new());
+        }
+        layers[layer].push(i);
+    }
+    layers
 }
 
 /// Non-dominated sorting of a rung's outcomes into dominance layers —
@@ -309,28 +342,16 @@ fn staircase_area(pts: &[[f64; 3]], ry: f64, rz: f64) -> f64 {
 /// after every vectored trial.
 #[must_use]
 pub fn promotion_layers(outcomes: &[TrialOutcome]) -> Vec<u32> {
+    let (vectored, vectors): (Vec<usize>, Vec<ObjectiveVector>) = outcomes
+        .iter()
+        .enumerate()
+        .filter_map(|(i, o)| Some((i, o.vector?)))
+        .unzip();
     let mut layers = vec![u32::MAX; outcomes.len()];
-    let mut remaining: Vec<usize> = (0..outcomes.len())
-        .filter(|&i| outcomes[i].vector.is_some())
-        .collect();
-    let mut layer = 0u32;
-    while !remaining.is_empty() {
-        let front: Vec<usize> = remaining
-            .iter()
-            .copied()
-            .filter(|&i| {
-                let vi = outcomes[i].vector.expect("filtered to Some");
-                !remaining
-                    .iter()
-                    .any(|&j| outcomes[j].vector.expect("filtered to Some").dominates(&vi))
-            })
-            .collect();
-        debug_assert!(!front.is_empty(), "a finite set always has a front");
-        for &i in &front {
-            layers[i] = layer;
+    for (layer, members) in (0_u32..).zip(dominance_layers(&vectors)) {
+        for i in members {
+            layers[vectored[i]] = layer;
         }
-        remaining.retain(|i| !front.contains(i));
-        layer += 1;
     }
     layers
 }
@@ -413,57 +434,22 @@ impl ParetoTpeSampler {
         let n = outcomes.len();
         let n_good = ((n as f64 * GOOD_QUANTILE).ceil() as usize).clamp(2, n - 1);
 
-        // Peel dominance layers (indices, deterministic order).
-        let mut remaining: Vec<usize> = (0..n).collect();
+        // Inside a layer, order by hypervolume contribution against the
+        // shared reference (largest first): when the front alone
+        // overflows the quantile, the kept subset is the one EHVI values
+        // most. Ties fall back to the canonical cost order.
+        let reference = self.reference();
         let mut ordered: Vec<usize> = Vec::with_capacity(n);
-        while !remaining.is_empty() {
-            let front: Vec<usize> = remaining
-                .iter()
-                .copied()
-                .filter(|&i| {
-                    !remaining
-                        .iter()
-                        .any(|&j| outcomes[j].dominates(&outcomes[i]))
-                })
-                .collect();
-            // Inside a layer, order by hypervolume contribution against
-            // the shared reference (largest first): when the front alone
-            // overflows the quantile, the kept subset is the one EHVI
-            // values most. Ties fall back to the canonical cost order.
-            let reference = self.reference();
-            let mut layer_front = ParetoFront::new();
-            for &i in &front {
-                layer_front.insert(FrontPoint {
-                    config: self.observed[i].0.clone(),
-                    vector: outcomes[i],
-                    trial: i as u64,
-                });
-            }
-            let total = layer_front.hypervolume(reference);
-            let contribution = |i: usize| {
-                let mut without = ParetoFront::new();
-                for &j in &front {
-                    if j != i {
-                        without.insert(FrontPoint {
-                            config: self.observed[j].0.clone(),
-                            vector: outcomes[j],
-                            trial: j as u64,
-                        });
-                    }
-                }
-                total - without.hypervolume(reference)
-            };
-            let mut scored_front: Vec<(usize, f64)> =
-                front.iter().map(|&i| (i, contribution(i))).collect();
-            scored_front.sort_by(|a, b| {
+        for layer in dominance_layers(&outcomes) {
+            let costs: Vec<[f64; 3]> = layer.iter().map(|&i| outcomes[i].costs()).collect();
+            let (_, contributions) = hypervolume_sweep(&costs, reference);
+            let mut scored: Vec<(usize, f64)> = layer.into_iter().zip(contributions).collect();
+            scored.sort_by(|a, b| {
                 b.1.total_cmp(&a.1)
                     .then(cost_order(&outcomes[a.0], &outcomes[b.0]))
                     .then(a.0.cmp(&b.0))
             });
-            for &(i, _) in &scored_front {
-                ordered.push(i);
-            }
-            remaining.retain(|i| !front.contains(i));
+            ordered.extend(scored.into_iter().map(|(i, _)| i));
         }
         let bad = ordered.split_off(n_good);
         (ordered, bad)
@@ -664,17 +650,12 @@ mod tests {
         let hv1 = front.hypervolume(reference);
         assert!(hv1 > 0.0);
         // A non-dominated addition must add volume.
-        let v = vector(0.9, 80.0, 8.0);
-        let hvi = front.hypervolume_improvement(&v, reference);
-        assert!(hvi > 0.0);
-        front.insert(point(0.9, 80.0, 8.0, 1));
+        assert!(front.insert(point(0.9, 80.0, 8.0, 1)));
         let hv2 = front.hypervolume(reference);
-        assert!((hv2 - hv1 - hvi).abs() < 1e-9, "{hv2} vs {hv1} + {hvi}");
-        // A dominated candidate improves nothing.
-        assert_eq!(
-            front.hypervolume_improvement(&vector(0.4, 60.0, 6.0), reference),
-            0.0
-        );
+        assert!(hv2 > hv1, "{hv2} vs {hv1}");
+        // A dominated candidate is refused and adds nothing.
+        assert!(!front.insert(point(0.4, 60.0, 6.0, 2)));
+        assert_eq!(front.hypervolume(reference), hv2);
     }
 
     #[test]
@@ -775,5 +756,139 @@ mod tests {
             .with_vector(vector(0.5, 1.0, 1.0));
         sampler.observe(&config, &vectored);
         assert_eq!(sampler.observations(), 1);
+    }
+
+    /// Inclusion–exclusion over every subset of `pts`: the dominated
+    /// volume of the union of the boxes `[p, reference)` and each point's
+    /// exclusive share, the signed volumes of the subsets containing it.
+    fn inclusion_exclusion(pts: &[[f64; 3]], reference: [f64; 3]) -> (f64, Vec<f64>) {
+        let mut total = 0.0;
+        let mut exclusive = vec![0.0; pts.len()];
+        for mask in 1_u32..(1 << pts.len()) {
+            let members = || (0..pts.len()).filter(move |i| mask & (1 << i) != 0);
+            let mut corner = [f64::NEG_INFINITY; 3];
+            for i in members() {
+                for axis in 0..3 {
+                    corner[axis] = corner[axis].max(pts[i][axis]);
+                }
+            }
+            let sign = if mask.count_ones() % 2 == 1 {
+                1.0
+            } else {
+                -1.0
+            };
+            let volume: f64 = (0..3)
+                .map(|axis| (reference[axis] - corner[axis]).max(0.0))
+                .product::<f64>()
+                * sign;
+            total += volume;
+            for i in members() {
+                exclusive[i] += volume;
+            }
+        }
+        (total, exclusive)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn hypervolume_and_contributions_match_inclusion_exclusion(
+            raw in proptest::collection::vec(
+                (0_u8..5, 0_u8..5, 0_u8..5, -1.0f64..1.0, 0.0f64..2.0, 0.0f64..2.0),
+                1..=8,
+            ),
+            on_grid in 0_u8..2,
+            duplicate in 0_usize..16,
+        ) {
+            // Grid coordinates force shared axis values and duplicates;
+            // many cases also copy one point over the last. The reference
+            // cuts through both ranges, so some points sit on or beyond
+            // it and dominate nothing.
+            let mut pts: Vec<[f64; 3]> = raw
+                .iter()
+                .map(|&(a, b, c, x, y, z)| {
+                    if on_grid == 1 {
+                        [f64::from(a) * 0.5 - 1.0, f64::from(b) * 0.5, f64::from(c) * 0.5]
+                    } else {
+                        [x, y, z]
+                    }
+                })
+                .collect();
+            let last = pts.len() - 1;
+            if duplicate < last {
+                pts[last] = pts[duplicate];
+            }
+            let reference = [0.8, 1.5, 1.5];
+
+            let (brute_total, brute_exclusive) = inclusion_exclusion(&pts, reference);
+            let tolerance = 1e-9 * brute_total.max(1e-300);
+
+            let mut front = ParetoFront::new();
+            for (i, c) in pts.iter().enumerate() {
+                front.insert(FrontPoint {
+                    config: Config::new(),
+                    vector: vector(-c[0], c[1], c[2]),
+                    trial: i as u64,
+                });
+            }
+            let total = front.hypervolume(reference);
+            proptest::prop_assert!(
+                (total - brute_total).abs() <= tolerance,
+                "hypervolume {total} vs inclusion-exclusion {brute_total}"
+            );
+
+            let (_, contributions) = hypervolume_sweep(&pts, reference);
+            for (i, (&got, &want)) in contributions.iter().zip(&brute_exclusive).enumerate() {
+                proptest::prop_assert!(
+                    (got - want).abs() <= tolerance,
+                    "point {i} {:?}: contribution {got} vs inclusion-exclusion {want}",
+                    pts[i]
+                );
+                if pts.iter().enumerate().any(|(j, p)| j != i && *p == pts[i]) {
+                    proptest::prop_assert!(got == 0.0, "duplicate {i} scored {got}");
+                }
+            }
+        }
+
+        #[test]
+        fn promotion_layers_match_peeling_fronts(
+            raw in proptest::collection::vec((0_u8..4, 0_u8..4, 0_u8..4), 1..40),
+        ) {
+            // A coarse grid makes ties, duplicates and long chains common;
+            // accuracies of both 0.0 and -0.0 put both zeros into the cost
+            // view, which compare equal but order apart.
+            let vectors: Vec<ObjectiveVector> = raw
+                .iter()
+                .map(|&(a, t, i)| {
+                    let accuracy = if a == 0 { -0.0 } else { f64::from(a - 1) * 0.5 };
+                    vector(accuracy, f64::from(t), f64::from(i))
+                })
+                .collect();
+            let mut peeled = vec![u32::MAX; vectors.len()];
+            let mut remaining: Vec<usize> = (0..vectors.len()).collect();
+            for layer in 0_u32.. {
+                if remaining.is_empty() {
+                    break;
+                }
+                let front: Vec<usize> = remaining
+                    .iter()
+                    .copied()
+                    .filter(|&i| !remaining.iter().any(|&j| vectors[j].dominates(&vectors[i])))
+                    .collect();
+                for &i in &front {
+                    peeled[i] = layer;
+                }
+                remaining.retain(|i| !front.contains(i));
+            }
+            let outcomes: Vec<TrialOutcome> = vectors
+                .iter()
+                .map(|&v| {
+                    TrialOutcome::new(1.0, v.accuracy, Seconds::new(1.0), Joules::new(1.0))
+                        .with_vector(v)
+                })
+                .collect();
+            proptest::prop_assert_eq!(promotion_layers(&outcomes), peeled);
+        }
     }
 }

@@ -4,6 +4,9 @@
 //! scalar-mode reports must not change by a byte just because the
 //! feature exists.
 
+use std::hint::black_box;
+use std::time::Instant;
+
 use edgetune::prelude::*;
 
 fn pareto_config() -> EdgeTuneConfig {
@@ -125,4 +128,71 @@ fn pareto_resume_reproduces_the_uninterrupted_bytes() {
         "resume dropped frontier data from the replayed prefix"
     );
     std::fs::remove_file(&path).ok();
+}
+
+/// FNV-1a, 64-bit: a dependency-free digest for pinning report bytes.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A HyperBand Pareto study large enough that the model-driven sampler
+/// engages: past the first 8 vector observations every suggestion runs
+/// the dominance-layer split and its hypervolume-contribution ranking,
+/// which the other golden tests (6 configs, no HyperBand) never reach.
+fn modelled_pareto_config(seed: u64) -> EdgeTuneConfig {
+    EdgeTuneConfig::for_workload(WorkloadId::Ic)
+        .with_scheduler(SchedulerConfig::new(8, 2.0, 27))
+        .with_seed(seed)
+        .with_pareto(8)
+}
+
+#[test]
+fn pareto_study_bytes_match_the_pinned_digest() {
+    // Pinned from the report bytes before the contribution scoring was
+    // rewritten; any change in the sampler's choices moves them.
+    for (seed, pinned) in [(7, 0xf744_461c_b838_7321), (11, 0xe8d7_4ffa_2098_14ef)] {
+        let json = json_of(modelled_pareto_config(seed));
+        let digest = fnv1a64(json.as_bytes());
+        assert_eq!(
+            digest, pinned,
+            "seed {seed}: pareto report digest {digest:#018x} moved from {pinned:#018x}"
+        );
+    }
+}
+
+/// Host nanoseconds one study takes to run to its report.
+fn study_ns(config: EdgeTuneConfig) -> u128 {
+    let start = Instant::now();
+    black_box(report_of(black_box(config)));
+    start.elapsed().as_nanos()
+}
+
+fn median(mut samples: Vec<u128>) -> u128 {
+    samples.sort_unstable();
+    samples[samples.len() / 2]
+}
+
+/// Choosing the next config must stay cheap next to running a trial:
+/// a 64-trial Pareto study may cost at most 4x its scalar twin. Runs
+/// alternate between the two sides so drift in machine load hits both.
+#[test]
+#[ignore = "timing: CI runs it in release"]
+fn pareto_study_stays_within_4x_of_the_scalar_twin() {
+    let scalar = || {
+        EdgeTuneConfig::for_workload(WorkloadId::Ic)
+            .with_scheduler(SchedulerConfig::new(64, 2.0, 27))
+            .with_seed(7)
+    };
+    let (mut scalar_ns, mut pareto_ns) = (Vec::new(), Vec::new());
+    for _ in 0..5 {
+        scalar_ns.push(study_ns(scalar()));
+        pareto_ns.push(study_ns(scalar().with_pareto(8)));
+    }
+    let (scalar_ns, pareto_ns) = (median(scalar_ns), median(pareto_ns));
+    assert!(
+        pareto_ns <= 4 * scalar_ns,
+        "64-trial pareto study ({pareto_ns} ns) exceeds 4x its scalar twin ({scalar_ns} ns)"
+    );
 }
